@@ -32,9 +32,7 @@
 // Everything below BatchAugment is templated over the graph type. A
 // GraphT needs num_vertices(), EdgeSrc/EdgeDst(EdgeId) and
 // ForEachOut(v, fn(VertexId, EdgeId)); edge ids only need to be stable
-// and unique per (src, dst). The sharded router exploits this by running
-// the same augment over a multi-shard view whose edge ids are packed
-// (src, dst) pairs — see service/sharded_view.h.
+// and unique per (src, dst).
 #ifndef TDB_CORE_BATCH_AUGMENT_H_
 #define TDB_CORE_BATCH_AUGMENT_H_
 

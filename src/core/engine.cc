@@ -203,7 +203,6 @@ struct EngineRun {
   Deadline master;
   int requested = 1;
   VertexId min_scc = 3;
-  SccOptions scc_options;
 };
 
 /// In-place solve of one component through a SubgraphView, with the
@@ -263,7 +262,7 @@ CoverResult BarrierSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
   Deadline condense_deadline =
       split_budget ? Deadline::AfterSeconds(run.options.time_limit_seconds)
                    : run.master;
-  SccOptions scc_options = run.scc_options;
+  SccOptions scc_options;
   scc_options.deadline = &condense_deadline;
   SccResult scc;
   {
@@ -615,7 +614,7 @@ CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
     // Count-only condensation: the components all arrive through the
     // sink, so the canonical SccResult arrays would be built and thrown
     // away — and their O(n) finalization would delay condense_done.
-    SccOptions scc_options = run.scc_options;
+    SccOptions scc_options;
     scc_options.canonical_result = false;
     // Private Deadline copy: shared expiry instant, thread-local
     // amortized check state.
@@ -746,9 +745,6 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
   run.component_options = options;
   run.component_options.scc_prefilter = false;
   if (IsTopDown(algorithm)) run.rank = MakeRank(graph, options);
-  run.scc_options.algorithm = options.scc_algorithm;
-  run.scc_options.num_threads = run.requested;
-  run.scc_options.min_parallel_size = options.min_parallel_scc_size;
 
   SccStats scc_stats;
   uint64_t scc_components = 0;
@@ -764,9 +760,6 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
   result.stats = solved.stats;
   result.stats.scc_seconds = scc_stats.seconds;
   result.stats.scc_components = scc_components;
-  result.stats.scc_trim_peeled = scc_stats.trim_peeled;
-  result.stats.scc_fwbw_partitions = scc_stats.fwbw_partitions;
-  result.stats.scc_tarjan_partitions = scc_stats.tarjan_partitions;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

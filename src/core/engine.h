@@ -8,9 +8,7 @@
 // coordination. This engine is the single execution path behind
 // SolveCycleCover for every CoverAlgorithm:
 //
-//   1. condense via the pluggable SCC front end (graph/scc.h,
-//      options.scc_algorithm: sequential Tarjan or trim + parallel
-//      forward-backward decomposition). With num_threads > 1 (and no
+//   1. condense with Tarjan (graph/scc.h). With num_threads > 1 (and no
 //      work-budget split) condensation runs as a *pipeline*: a condenser
 //      thread streams each finalized component through a ComponentSink
 //      while still decomposing the rest, so the giant SCC starts solving
@@ -40,7 +38,7 @@
 //      (ascending minimum member) regardless of scheduling.
 //
 // Exactness: per-component solves are bit-identical to a whole-graph
-// sequential solve, for every algorithm, SCC strategy and thread count.
+// sequential solve, for every algorithm, storage backend and thread count.
 // Cycles never cross components, so a solver's keep/discharge decision
 // for v depends only on the state of v's own component; the engine
 // preserves each component's internal processing order by ranking every

@@ -33,7 +33,7 @@
 // unindexed PathProber path by construction; the residue the index
 // cannot force falls back to a real probe. Distances are valid only for
 // the exact (graph, cover) they were built from — each publish builds a
-// fresh index, mirroring the per-epoch AdmissionCache lifecycle.
+// fresh index.
 #ifndef TDB_SERVICE_ADMISSION_INDEX_H_
 #define TDB_SERVICE_ADMISSION_INDEX_H_
 

@@ -45,11 +45,6 @@ Status ServiceOptions::Validate() const {
   if (ingest_threads < 0 || ingest_threads > 4096) {
     return Status::InvalidArgument("ingest_threads out of range");
   }
-  if (admission_cache_log2 != 0 &&
-      (admission_cache_log2 < 4 || admission_cache_log2 > 30)) {
-    return Status::InvalidArgument(
-        "admission_cache_log2 must be 0 (off) or in [4, 30]");
-  }
   if (admission_index_landmarks < 0 || admission_index_landmarks > 4096) {
     return Status::InvalidArgument(
         "admission_index_landmarks must be in [0 (off), 4096]");
@@ -395,8 +390,8 @@ SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
 AdmissionVerdict CycleBreakService::CheckAdmission(VertexId u,
                                                    VertexId v) const {
   // A thin wrapper over a batch of one: single and batched admission
-  // share CheckAdmissionBatch's evaluation path (prechecks, cache,
-  // index, probes, stats), so the two call shapes cannot drift — there
+  // share CheckAdmissionBatch's evaluation path (prechecks, index,
+  // probes, stats), so the two call shapes cannot drift — there
   // is exactly one place that validates options and orders prechecks.
   const Edge one{u, v};
   return CheckAdmissionBatch(std::span<const Edge>(&one, 1)).front();
@@ -408,45 +403,15 @@ std::vector<AdmissionVerdict> CycleBreakService::CheckAdmissionBatch(
   const ServiceSnapshot& snapshot = *pinned.state;
   stats_.admission_queries.fetch_add(queries.size(), kRelaxed);
   stats_.admission_batches.fetch_add(1, kRelaxed);
-  std::vector<AdmissionVerdict> verdicts(queries.size());
-  AdmissionCache* cache = snapshot.admission_cache.get();
   // Reusable per-thread scratch: the BFS arrays and grouping buffers are
   // warm after the first batch on each reader thread.
   static thread_local AdmissionBatchScratch scratch;
-  static thread_local std::vector<Edge> residue;
-  static thread_local std::vector<uint32_t> residue_query;
-  static thread_local std::vector<AdmissionVerdict> residue_verdicts;
-  residue.clear();
-  residue_query.clear();
-  uint64_t would_close_total = 0;
-  if (cache != nullptr) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      bool would_close = false;
-      if (cache->Lookup(queries[i].src, queries[i].dst, &would_close)) {
-        stats_.admission_cache_hits.fetch_add(1, kRelaxed);
-        verdicts[i].epoch = snapshot.epoch;
-        verdicts[i].would_close = would_close;
-        verdicts[i].admissible = !would_close;
-        if (would_close) ++would_close_total;
-      } else {
-        stats_.admission_cache_misses.fetch_add(1, kRelaxed);
-        residue.push_back(queries[i]);
-        residue_query.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-  const std::span<const Edge> to_eval =
-      cache != nullptr ? std::span<const Edge>(residue) : queries;
+  std::vector<AdmissionVerdict> verdicts;
   AdmissionBatchStats batch_stats;
-  CheckAdmissionBatchOn(snapshot, to_eval, &scratch, &residue_verdicts,
-                        &batch_stats);
-  for (size_t j = 0; j < to_eval.size(); ++j) {
-    const AdmissionVerdict& verdict = residue_verdicts[j];
-    verdicts[cache != nullptr ? residue_query[j] : j] = verdict;
+  CheckAdmissionBatchOn(snapshot, queries, &scratch, &verdicts, &batch_stats);
+  uint64_t would_close_total = 0;
+  for (const AdmissionVerdict& verdict : verdicts) {
     if (verdict.would_close) ++would_close_total;
-    if (cache != nullptr && verdict.probed) {
-      cache->Insert(to_eval[j].src, to_eval[j].dst, verdict.would_close);
-    }
   }
   stats_.index_hits.fetch_add(batch_stats.index_hits, kRelaxed);
   stats_.index_fallbacks.fetch_add(batch_stats.index_fallbacks, kRelaxed);
@@ -507,32 +472,6 @@ TransversalImage CycleBreakService::Image() const {
   return image;
 }
 
-Status CycleBreakService::ForceCompact() {
-  // Serialize with any in-flight background solve first: its install
-  // must not land after this one and clobber the forced base with an
-  // older cut.
-  WaitForCompaction();
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (working_.delta_edges() == 0) return state_.base->solve_status;
-  const uint64_t cut_seq = applied_seq_;
-  CoverResult solved;
-  OverlayGraph fresh = [&]() -> OverlayGraph {
-    TDB_TRACE_SPAN("service.compact_solve");
-    if (options_.compressed_base) {
-      auto input =
-          std::make_shared<const CompressedCsr>(working_.ToCompressed());
-      solved = SolveBase(*input);
-      return OverlayGraph(std::move(input));
-    }
-    auto input = std::make_shared<const CsrGraph>(working_.ToCsr());
-    solved = SolveBase(*input);
-    return OverlayGraph(std::move(input));
-  }();
-  InstallCompactionLocked(std::move(fresh), cut_seq, std::move(solved));
-  PublishLocked();
-  return state_.base->solve_status;
-}
-
 void CycleBreakService::WaitForCompaction() {
   std::lock_guard<std::mutex> lock(compact_mu_);
   if (compact_thread_.joinable()) compact_thread_.join();
@@ -542,10 +481,6 @@ uint64_t CycleBreakService::PublishLocked() {
   TDB_TRACE_SPAN("service.publish");
   auto snapshot = std::make_shared<ServiceSnapshot>(working_, state_,
                                                     options_.cover);
-  if (options_.admission_cache_log2 > 0) {
-    snapshot->admission_cache =
-        std::make_unique<AdmissionCache>(options_.admission_cache_log2);
-  }
   // The distance index is a pure function of the published (graph,
   // cover) pair, so it is rebuilt at every publish — delta edges shorten
   // distances, and a stale index could force wrong verdicts. Compaction

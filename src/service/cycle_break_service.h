@@ -48,14 +48,54 @@
 #include "core/cover_options.h"
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
-#include "service/graph_service.h"
 #include "service/journal.h"
 #include "service/snapshot.h"
 #include "service/stats.h"
 #include "util/epoch_ptr.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace tdb {
+
+/// Outcome of one SubmitEdges call. Status-first: check `status` before
+/// trusting anything else.
+struct SubmitResult {
+  /// Non-ok when the write-ahead journal append failed: the batch was
+  /// NOT applied (durability-before-apply is the WAL contract) and the
+  /// published state is unchanged.
+  Status status;
+  /// Epoch of the state this call published (0 when nothing was — see
+  /// `status`).
+  uint64_t epoch = 0;
+  BatchAugmentStats stats;
+};
+
+/// Canonical image of the published transversal state, for equality
+/// checks, state dumps and content digests. Every ordered field is
+/// canonicalized by (src, dst), so two services serving the same logical
+/// state produce byte-identical images.
+struct TransversalImage {
+  struct EdgeEntry {
+    EdgeId id = 0;
+    VertexId src = 0;
+    VertexId dst = 0;
+    bool operator==(const EdgeEntry&) const = default;
+  };
+
+  uint64_t epoch = 0;
+  VertexId universe = 0;
+  /// Edges folded into the immutable base, and a CRC32 over their
+  /// (src, dst) pairs sorted by (src, dst).
+  uint64_t base_edges = 0;
+  uint32_t base_crc = 0;
+  /// Delta edges, sorted by (src, dst).
+  std::vector<Edge> delta;
+  /// Base cover vertices, sorted.
+  std::vector<VertexId> cover_vertices;
+  /// Incremental S / W sets, sorted by (src, dst).
+  std::vector<EdgeEntry> covered;
+  std::vector<EdgeEntry> reusable;
+};
 
 /// Configuration of a CycleBreakService.
 struct ServiceOptions {
@@ -82,19 +122,7 @@ struct ServiceOptions {
   /// initial solve); <= 0 = unlimited. When set, the engine runs with
   /// split_budget_by_work so a timed-out solve still yields a feasible
   /// partial cover instead of failing the compaction.
-  ///
-  /// Note `cover.scc_algorithm` / `cover.min_parallel_scc_size` flow into
-  /// these solves too: a compaction with the parallel FW-BW condenser
-  /// spends less wall-clock in its background solve, which shrinks the
-  /// window during which the delta overlay keeps growing.
   double compact_time_limit_seconds = 0.0;
-  /// Admission verdict cache: log2 of the per-epoch table capacity
-  /// (entries of 8 bytes; e.g. 16 = 512 KiB per live epoch). 0 disables
-  /// caching. Verdicts memoized on one snapshot die with it — a publish
-  /// installs a fresh empty cache atomically. With the distance index
-  /// enabled the cache memoizes only the hard residue the index could
-  /// not force, so its capacity goes further.
-  int admission_cache_log2 = 0;
   /// Landmark hubs for the per-snapshot admission distance index
   /// (service/admission_index.h); 0 disables indexing. Every publish
   /// (including compaction installs) rebuilds the index on the ingest
@@ -127,9 +155,7 @@ struct ServiceOptions {
 /// called from any thread (calls are serialized internally);
 /// CheckAdmission / PinSnapshot / Stats / epoch may be called from any
 /// number of threads concurrently with everything else.
-/// (SubmitResult / AdmissionVerdict live in service/graph_service.h and
-/// service/snapshot.h — shared across GraphService backends.)
-class CycleBreakService : public GraphService {
+class CycleBreakService {
  public:
   /// What a recovery replayed (all zero for fresh/in-memory services).
   struct RecoveryInfo {
@@ -178,14 +204,14 @@ class CycleBreakService : public GraphService {
   /// Ingests a batch of edges (duplicates / self-loops / out-of-universe
   /// endpoints are counted and skipped), restores the cover invariant,
   /// publishes the new state, and possibly triggers a compaction.
-  SubmitResult SubmitEdges(std::span<const Edge> batch) override;
+  SubmitResult SubmitEdges(std::span<const Edge> batch);
 
   /// Would admitting u -> v close an uncovered constrained cycle?
   /// Lock-free against the latest published snapshot. A documented thin
   /// wrapper over CheckAdmissionBatch with a batch of one: single and
-  /// batched queries share one evaluation path (prechecks, cache, index,
+  /// batched queries share one evaluation path (prechecks, index,
   /// probes, stats), so the two call shapes cannot drift.
-  AdmissionVerdict CheckAdmission(VertexId u, VertexId v) const override;
+  AdmissionVerdict CheckAdmission(VertexId u, VertexId v) const;
 
   /// Batched CheckAdmission: pins ONE snapshot for the whole span and
   /// answers queries[i] (= "admit queries[i].src -> queries[i].dst?")
@@ -196,30 +222,30 @@ class CycleBreakService : public GraphService {
   /// per-query CheckAdmission on that snapshot. Lock-free; callable
   /// from any number of threads concurrently.
   std::vector<AdmissionVerdict> CheckAdmissionBatch(
-      std::span<const Edge> queries) const override;
+      std::span<const Edge> queries) const;
 
   /// Pins the latest published snapshot (never null after construction).
   std::shared_ptr<const ServiceSnapshot> PinSnapshot() const;
 
   /// Latest published epoch.
-  uint64_t epoch() const override { return published_.epoch(); }
+  uint64_t epoch() const { return published_.epoch(); }
 
   /// Vertex universe of the served graph.
-  VertexId universe() const override;
+  VertexId universe() const;
 
   /// Delta edges in the latest published snapshot's overlay.
-  uint64_t delta_edges() const override;
+  uint64_t delta_edges() const;
 
-  ServiceStatsSnapshot Stats() const override { return stats_.Snapshot(); }
+  ServiceStatsSnapshot Stats() const { return stats_.Snapshot(); }
 
   /// The live counters, for metric-registry export (see
   /// service/service_metrics.h). Read-only; the atomics stay valid for
   /// the service's lifetime.
-  const ServiceStats& raw_stats() const override { return stats_; }
+  const ServiceStats& raw_stats() const { return stats_; }
 
   /// Canonical image of the latest published state (graph + transversal),
-  /// for state dumps, digests and cross-backend equality checks.
-  TransversalImage Image() const override;
+  /// for state dumps, digests and equality checks.
+  TransversalImage Image() const;
 
   /// What Open replayed (zeros for fresh services).
   const RecoveryInfo& recovery_info() const { return recovery_; }
@@ -228,23 +254,13 @@ class CycleBreakService : public GraphService {
   /// across restarts when durable (the snapshot carries the count, the
   /// journal tail adds the rest). Stream-replay drivers resume their
   /// input at this offset after a recovery.
-  uint64_t events_ingested() const override {
+  uint64_t events_ingested() const {
     return total_events_.load(std::memory_order_relaxed);
   }
 
   /// Blocks until no background compaction is in flight. (Shutdown and
   /// test barrier; the destructor calls it.)
-  void WaitForCompaction() override;
-
-  /// Synchronously compacts NOW, regardless of compact_delta_threshold:
-  /// freeze base+delta into a fresh solved base, reset the incremental
-  /// layer, persist the cut (durable services) and publish. No-op (no
-  /// publish) when the delta is empty — the base already equals the
-  /// graph. This is the sharded router's lockstep hook: the router calls
-  /// it on every shard exactly at its global compaction cuts, so shard
-  /// base/delta splits (and hence adjacency iteration order) stay aligned
-  /// with an unsharded replay of the same stream.
-  Status ForceCompact();
+  void WaitForCompaction();
 
  private:
   /// Core init without state (factories fill state in afterwards).

@@ -22,16 +22,12 @@
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
 #include "search/search_context.h"
-#include "service/admission_cache.h"
 #include "service/admission_index.h"
 #include "util/status.h"
 
 namespace tdb {
 
-/// One published (graph, cover) pair. Immutable after publication — with
-/// one deliberate exception: `admission_cache` is a mutable memo of
-/// verdicts that are pure functions of the immutable state, so
-/// concurrent readers may fill it without changing anything observable.
+/// One published (graph, cover) pair. Immutable after publication.
 struct ServiceSnapshot {
   /// Publication epoch (1 for the state published by the constructor,
   /// +1 per subsequent publish).
@@ -42,13 +38,9 @@ struct ServiceSnapshot {
   TransversalState cover;
   /// The cycle semantics the cover was maintained under (k, 2-cycles).
   CoverOptions options;
-  /// Per-epoch (u, v) verdict memo, null when caching is disabled. Each
-  /// publish creates a fresh cache, so stale verdicts are dropped
-  /// atomically with the snapshot they belong to.
-  std::unique_ptr<AdmissionCache> admission_cache;
   /// Landmark distance index over this snapshot's uncovered subgraph,
-  /// null when indexing is disabled. Like the cache, it is valid for
-  /// exactly this (graph, cover) pair: every publish builds a fresh one.
+  /// null when indexing is disabled. It is valid for exactly this
+  /// (graph, cover) pair: every publish builds a fresh one.
   std::shared_ptr<const AdmissionIndex> admission_index;
 
   ServiceSnapshot(OverlayGraph g, TransversalState c, CoverOptions o)
@@ -56,8 +48,7 @@ struct ServiceSnapshot {
 };
 
 /// Verdict of one admission query. Verdict bits first (what the caller
-/// acts on), provenance after (where the verdict came from) — the layout
-/// every GraphService backend shares.
+/// acts on), provenance after (where the verdict came from).
 struct AdmissionVerdict {
   /// True iff admitting the edge cannot close an uncovered constrained
   /// cycle (it may still close covered ones — those are already broken).
@@ -67,19 +58,11 @@ struct AdmissionVerdict {
   bool would_close = false;
   /// Epoch of the snapshot the verdict was computed against.
   uint64_t epoch = 0;
-  /// Shard whose subgraph the probe ran in (the queried edge's dst
-  /// owner, under the router's partition); -1 for unsharded backends.
-  int32_t shard = -1;
-  /// True iff deciding the verdict needed more than one shard's local
-  /// subgraph (boundary-summary composition or a global fallback probe);
-  /// always false for unsharded backends.
-  bool cross_shard = false;
   /// True iff the snapshot's distance index forced the verdict by
   /// arithmetic alone (no path search ran).
   bool via_index = false;
   /// True iff a path search ran (shared BFS or exact DFS) — the hard
-  /// residue neither the prechecks nor the index could decide, and the
-  /// only verdicts worth memoizing in the admission cache.
+  /// residue neither the prechecks nor the index could decide.
   bool probed = false;
 };
 

@@ -30,8 +30,6 @@ struct ServiceStatsSnapshot {
   uint64_t prunes = 0;
   uint64_t admission_queries = 0;
   uint64_t admission_would_close = 0;
-  uint64_t admission_cache_hits = 0;
-  uint64_t admission_cache_misses = 0;
   /// CheckAdmissionBatch calls. Single-query CheckAdmission is a batch
   /// of one, so it counts here too (one batch, one query).
   uint64_t admission_batches = 0;
@@ -77,8 +75,6 @@ struct ServiceStats {
   std::atomic<uint64_t> prunes{0};
   std::atomic<uint64_t> admission_queries{0};
   std::atomic<uint64_t> admission_would_close{0};
-  std::atomic<uint64_t> admission_cache_hits{0};
-  std::atomic<uint64_t> admission_cache_misses{0};
   std::atomic<uint64_t> admission_batches{0};
   std::atomic<uint64_t> index_hits{0};
   std::atomic<uint64_t> index_fallbacks{0};
@@ -114,8 +110,6 @@ struct ServiceStats {
     out.prunes = get(prunes);
     out.admission_queries = get(admission_queries);
     out.admission_would_close = get(admission_would_close);
-    out.admission_cache_hits = get(admission_cache_hits);
-    out.admission_cache_misses = get(admission_cache_misses);
     out.admission_batches = get(admission_batches);
     out.index_hits = get(index_hits);
     out.index_fallbacks = get(index_fallbacks);
@@ -135,69 +129,6 @@ struct ServiceStats {
     out.journal_group_size = get(journal_group_size);
     out.base_bytes = get(base_bytes);
     out.base_raw_bytes = get(base_raw_bytes);
-    return out;
-  }
-};
-
-/// Plain-value snapshot of ShardRouterStats.
-struct ShardRouterStatsSnapshot {
-  uint64_t edges_routed = 0;
-  uint64_t cross_shard_edges = 0;
-  uint64_t shard_submits = 0;
-  /// Current boundary size (targets of uncovered cross-shard edges).
-  uint64_t boundary_vertices = 0;
-  uint64_t summary_builds = 0;
-  double summary_build_seconds = 0.0;
-  /// Publishes that skipped the summary (boundary over cap / disabled).
-  uint64_t summary_skipped = 0;
-  /// Admission queries whose probe could not stay within one shard.
-  uint64_t cross_queries = 0;
-  /// Cross-shard queries the boundary summary resolved locally.
-  uint64_t summary_resolved = 0;
-  /// Cross-shard queries that fell back to a global scatter/gather sweep.
-  uint64_t scatter_gather_probes = 0;
-  /// Below-band residue re-probed by the exact global DFS.
-  uint64_t dfs_fallbacks = 0;
-  /// Full-engine solves at router compaction cuts.
-  uint64_t global_solves = 0;
-};
-
-/// Counters specific to the sharded router (ShardedCycleBreakService),
-/// alongside its regular ServiceStats. Same discipline: relaxed atomics,
-/// monitoring data only. boundary_vertices is a gauge (store), the rest
-/// are monotonic (fetch_add).
-struct ShardRouterStats {
-  std::atomic<uint64_t> edges_routed{0};
-  std::atomic<uint64_t> cross_shard_edges{0};
-  std::atomic<uint64_t> shard_submits{0};
-  std::atomic<uint64_t> boundary_vertices{0};
-  std::atomic<uint64_t> summary_builds{0};
-  std::atomic<uint64_t> summary_build_ns{0};
-  std::atomic<uint64_t> summary_skipped{0};
-  std::atomic<uint64_t> cross_queries{0};
-  std::atomic<uint64_t> summary_resolved{0};
-  std::atomic<uint64_t> scatter_gather_probes{0};
-  std::atomic<uint64_t> dfs_fallbacks{0};
-  std::atomic<uint64_t> global_solves{0};
-
-  ShardRouterStatsSnapshot Snapshot() const {
-    ShardRouterStatsSnapshot out;
-    const auto get = [](const std::atomic<uint64_t>& c) {
-      return c.load(std::memory_order_relaxed);
-    };
-    out.edges_routed = get(edges_routed);
-    out.cross_shard_edges = get(cross_shard_edges);
-    out.shard_submits = get(shard_submits);
-    out.boundary_vertices = get(boundary_vertices);
-    out.summary_builds = get(summary_builds);
-    out.summary_build_seconds =
-        static_cast<double>(get(summary_build_ns)) * 1e-9;
-    out.summary_skipped = get(summary_skipped);
-    out.cross_queries = get(cross_queries);
-    out.summary_resolved = get(summary_resolved);
-    out.scatter_gather_probes = get(scatter_gather_probes);
-    out.dfs_fallbacks = get(dfs_fallbacks);
-    out.global_solves = get(global_solves);
     return out;
   }
 };

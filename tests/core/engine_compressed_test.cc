@@ -66,7 +66,7 @@ TEST(EngineCompressedTest, CoverMatchesRawAcrossThreadCounts) {
   }
 }
 
-TEST(EngineCompressedTest, CoverMatchesRawAcrossSccAlgorithms) {
+TEST(EngineCompressedTest, PipelineMatchesRawBarrierAcrossThreadCounts) {
   for (const auto& [name, g] : TestGraphs()) {
     const CompressedCsr cg = CompressedCsr::FromCsr(g);
     CoverOptions opts;
@@ -75,17 +75,14 @@ TEST(EngineCompressedTest, CoverMatchesRawAcrossSccAlgorithms) {
     const CoverResult raw =
         SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
     ASSERT_TRUE(raw.status.ok()) << name;
-    for (SccAlgorithm scc : {SccAlgorithm::kTarjan,
-                             SccAlgorithm::kParallelFwBw,
-                             SccAlgorithm::kUnionFind}) {
-      opts.scc_algorithm = scc;
-      opts.num_threads = 4;
+    for (int threads : {2, 4, 8}) {
+      opts.num_threads = threads;
       const CoverResult compressed =
           SolveCycleCover(cg, CoverAlgorithm::kTdbPlusPlus, opts);
-      ASSERT_TRUE(compressed.status.ok())
-          << name << " " << SccAlgorithmName(scc);
-      EXPECT_EQ(raw.cover, compressed.cover)
-          << name << " " << SccAlgorithmName(scc);
+      ASSERT_TRUE(compressed.status.ok()) << name << " threads=" << threads;
+      EXPECT_EQ(raw.cover, compressed.cover) << name << " threads=" << threads;
+      EXPECT_EQ(raw.stats.scc_components, compressed.stats.scc_components)
+          << name << " threads=" << threads;
     }
   }
 }

@@ -112,70 +112,20 @@ TEST(CycleBreakServiceTest, AdmissionSemanticsOnAPath) {
   EXPECT_TRUE(SnapshotInvariantHolds(*service.PinSnapshot()));
 }
 
-TEST(CycleBreakServiceTest, AdmissionCacheVerdictsMatchUncached) {
-  // Two identical services, one with the per-epoch verdict cache: every
-  // verdict must agree, and repeated queries must hit the cache.
-  CsrGraph base = GeneratePowerLaw(
-      {.n = 50, .m = 300, .theta = 0.6, .reciprocity = 0.3, .seed = 29});
-  CsrGraph base_copy = base;
-  ServiceOptions plain = MakeOptions(4);
-  ServiceOptions cached = MakeOptions(4);
-  cached.admission_cache_log2 = 10;
-  CycleBreakService reference(std::move(base), plain);
-  CycleBreakService service(std::move(base_copy), cached);
-
-  ServiceStatsSnapshot per_round[3];
-  for (int round = 0; round < 3; ++round) {
-    // The same pairs every round: rounds 2+ hit for every pair whose
-    // round-1 verdict cost a path probe (the residue the cache
-    // memoizes; trivially prechecked pairs are recomputed instead).
-    Rng pair_rng(77);
-    for (int q = 0; q < 200; ++q) {
-      const VertexId u = static_cast<VertexId>(pair_rng.NextBounded(50));
-      const VertexId v = static_cast<VertexId>(pair_rng.NextBounded(50));
-      const AdmissionVerdict expected = reference.CheckAdmission(u, v);
-      const AdmissionVerdict got = service.CheckAdmission(u, v);
-      EXPECT_EQ(expected.would_close, got.would_close)
-          << u << "->" << v << " round " << round;
-      EXPECT_EQ(expected.admissible, got.admissible);
-    }
-    per_round[round] = service.Stats();
-  }
-  const ServiceStatsSnapshot s = per_round[2];
-  EXPECT_GT(s.admission_cache_hits, 0u);
-  EXPECT_GT(s.admission_cache_misses, 0u);
-  EXPECT_EQ(s.admission_cache_hits + s.admission_cache_misses,
-            s.admission_queries);
-  // Round 2 reached the cache's steady state, so round 3 must repeat it
-  // exactly: the same hits (the memoized residue) and the same misses
-  // (the trivial pairs that are never inserted).
-  EXPECT_GT(per_round[1].admission_cache_hits,
-            per_round[0].admission_cache_hits);
-  EXPECT_EQ(s.admission_cache_hits - per_round[1].admission_cache_hits,
-            per_round[1].admission_cache_hits -
-                per_round[0].admission_cache_hits);
-  EXPECT_EQ(s.admission_cache_misses - per_round[1].admission_cache_misses,
-            per_round[1].admission_cache_misses -
-                per_round[0].admission_cache_misses);
-}
-
-TEST(CycleBreakServiceTest, AdmissionCacheDropsAtPublish) {
+TEST(CycleBreakServiceTest, VerdictFollowsThePublishedEpoch) {
   // Path 0 -> 1 -> 2 -> 3 with k = 4: "3 -> 0 closes a cycle" is true at
-  // epoch 1, cached, and must NOT survive into epoch 2, where ingesting
-  // 3 -> 0 has covered the cycle and a duplicate insert closes nothing.
+  // epoch 1 and must NOT survive into epoch 2, where ingesting 3 -> 0 has
+  // covered the cycle and a duplicate insert closes nothing.
   CsrGraph base = CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  ServiceOptions options = MakeOptions(4);
-  options.admission_cache_log2 = 8;
-  CycleBreakService service(std::move(base), options);
+  CycleBreakService service(std::move(base), MakeOptions(4));
 
-  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);  // miss, cached
-  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);  // hit
-  EXPECT_EQ(service.Stats().admission_cache_hits, 1u);
+  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);
+  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);
 
   const std::vector<Edge> batch = {{3, 0}};
   ASSERT_EQ(service.SubmitEdges(batch).epoch, 2u);
-  // Fresh epoch, fresh cache: the stale "would close" verdict is gone —
-  // the edge exists now, so inserting it again is a no-op.
+  // Fresh epoch: the "would close" verdict is gone — the edge exists
+  // now, so inserting it again is a no-op.
   const AdmissionVerdict after = service.CheckAdmission(3, 0);
   EXPECT_EQ(after.epoch, 2u);
   EXPECT_TRUE(after.admissible);
@@ -246,7 +196,7 @@ TEST(CycleBreakServiceTest, IngestIsDeterministicAcrossProbeThreads) {
 /// (snapshot, cover) pair — every verdict equals what a sequential replay
 /// of the same batches computes for the same epoch. With
 /// `indexed_batched`, the live service additionally runs the landmark
-/// distance index + verdict cache and its readers go through
+/// distance index and its readers go through
 /// CheckAdmissionBatch — while the replay oracle stays unindexed, so the
 /// comparison proves the fast path bit-identical to the plain probe at
 /// every epoch and thread count.
@@ -257,7 +207,6 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
   options.compact_delta_threshold = 48;
   if (indexed_batched) {
     options.admission_index_landmarks = 8;
-    options.admission_cache_log2 = 10;
   }
   const auto batches = MakeBatches(kN, 240, 12, /*seed=*/31);
 
@@ -269,11 +218,8 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
   std::vector<std::vector<Recorded>> per_thread(reader_threads);
 
   {
-    CycleBreakService backend(GenerateErdosRenyi(kN, 140, /*seed=*/32),
+    CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/32),
                               options);
-    // The readers and the ingest loop drive the backend-agnostic
-    // interface — the same harness shape tdb_serve and the benches use.
-    GraphService& service = backend;
     std::atomic<bool> done{false};
     std::vector<std::thread> readers;
     for (int t = 0; t < reader_threads; ++t) {
@@ -328,13 +274,12 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
   }
 
   // Sequential replay of the same batches, capturing every published
-  // epoch. Ingest is deterministic (and unaffected by the index/cache
-  // knobs), so epoch e's state here is byte-for-byte the state the
+  // epoch. Ingest is deterministic (and unaffected by the index
+  // knob), so epoch e's state here is byte-for-byte the state the
   // readers pinned under that epoch above — but WITHOUT an index, so
   // the oracle below is always the plain unindexed probe.
   ServiceOptions replay_options = options;
   replay_options.admission_index_landmarks = 0;
-  replay_options.admission_cache_log2 = 0;
   std::map<uint64_t, std::shared_ptr<const ServiceSnapshot>> replay;
   {
     CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/32),

@@ -3,18 +3,17 @@
 //   tdb_cover --graph edges.txt --k 5 --algo TDB++ [--verify]
 //             [--two-cycles] [--unconstrained] [--time-limit 60]
 //             [--order deg-asc|id|deg-desc|random] [--threads N]
-//             [--intra-threshold N] [--scc-algo tarjan|fwbw|uf]
-//             [--output cover.txt] [--stats] [--stats-json FILE]
+//             [--intra-threshold N] [--output cover.txt] [--stats]
+//             [--stats-json FILE]
 //
 // Reads a SNAP-style text edge list (or TDBG binary with --binary),
 // computes a hop-constrained cycle cover, and prints it (original vertex
 // ids) one per line to stdout or --output.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "graph/compressed_csr.h"
@@ -31,7 +30,6 @@ struct CliArgs {
   std::string output_path;
   std::string algo = "TDB++";
   std::string order = "deg-asc";
-  std::string scc_algo = "tarjan";
   std::string stats_json;
   uint32_t k = 5;
   int threads = 1;
@@ -58,10 +56,6 @@ void PrintUsage() {
       "default 1)\n"
       "  --intra-threshold N  min SCC size for in-place solving with\n"
       "                      intra-SCC parallel probing (default 2048)\n"
-      "  --scc-algo NAME     condensation strategy: tarjan | fwbw\n"
-      "                      (parallel trim + forward-backward) | uf\n"
-      "                      (concurrent union-find UFSCC; the cover is\n"
-      "                      identical for all three)\n"
       "  --compressed-base   solve from the delta/varint CompressedCsr\n"
       "                      backend (identical cover, smaller residency)\n"
       "  --two-cycles        also cover 2-cycles\n"
@@ -69,7 +63,7 @@ void PrintUsage() {
       "  --time-limit SEC    wall-clock budget (0 = unlimited)\n"
       "  --verify            check feasibility + minimality afterwards\n"
       "  --stats             print solver statistics to stderr\n"
-      "  --stats-json FILE   write CoverStats + SccStats as JSON (the\n"
+      "  --stats-json FILE   write CoverStats as JSON (the\n"
       "                      metric-registry dump schema)\n"
       "  --output FILE       write the cover here instead of stdout\n");
 }
@@ -99,38 +93,25 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--k") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->k = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseFlagValue(arg, v, 2, 1u << 20, &args->k)) return false;
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return false;
-      // Strict parse: atoi's silent 0 on garbage would mean "all cores".
-      char* end = nullptr;
-      args->threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0') {
-        std::fprintf(stderr, "invalid --threads value: %s\n", v);
-        return false;
-      }
+      // 0 = all cores; capped well below anything that could exhaust the
+      // process table.
+      if (!ParseFlagValue(arg, v, 0, 256, &args->threads)) return false;
     } else if (arg == "--intra-threshold") {
       const char* v = next();
       if (v == nullptr) return false;
-      // strtol rather than strtoul: the latter silently wraps "-1" into
-      // a huge threshold instead of erroring.
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 1 ||
-          parsed > static_cast<long>(0xFFFFFFFEu)) {
-        std::fprintf(stderr, "invalid --intra-threshold value: %s\n", v);
+      if (!ParseFlagValue(arg, v, 1, 0xFFFFFFFEu, &args->intra_threshold)) {
         return false;
       }
-      args->intra_threshold = static_cast<VertexId>(parsed);
-    } else if (arg == "--scc-algo") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->scc_algo = v;
     } else if (arg == "--time-limit") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->time_limit = std::atof(v);
+      if (!ParseFlagValue(arg, v, 0.0, 1e9, &args->time_limit)) {
+        return false;
+      }
     } else if (arg == "--binary") {
       args->binary = true;
     } else if (arg == "--compressed-base") {
@@ -194,11 +175,6 @@ int main(int argc, char** argv) {
   if (args.intra_threshold > 0) {
     options.min_intra_parallel_size = args.intra_threshold;
   }
-  st = ParseSccAlgorithm(args.scc_algo, &options.scc_algorithm);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   if (args.order == "deg-asc") {
     options.order = VertexOrder::kByDegreeAsc;
   } else if (args.order == "id") {
@@ -260,19 +236,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(result.stats.bfs_filtered),
                  static_cast<unsigned long long>(
                      result.stats.prune_removed));
-    std::fprintf(stderr,
-                 "scc: %s %.3fs, %llu components, trim_peeled=%llu "
-                 "fwbw_partitions=%llu tarjan_partitions=%llu\n",
-                 SccAlgorithmName(options.scc_algorithm),
+    std::fprintf(stderr, "scc: %.3fs, %llu components\n",
                  result.stats.scc_seconds,
                  static_cast<unsigned long long>(
-                     result.stats.scc_components),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_trim_peeled),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_fwbw_partitions),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_tarjan_partitions));
+                     result.stats.scc_components));
   }
 
   if (args.verify) {
@@ -315,12 +282,6 @@ int main(int argc, char** argv) {
             cs.components_timed_out);
     counter("scc_components", "Components from condensation",
             cs.scc_components);
-    counter("scc_trim_peeled", "Vertices peeled as trivial SCCs",
-            cs.scc_trim_peeled);
-    counter("scc_fwbw_partitions", "FW-BW pivot partitions",
-            cs.scc_fwbw_partitions);
-    counter("scc_tarjan_partitions", "Sequential-Tarjan partitions",
-            cs.scc_tarjan_partitions);
     registry
         .AddGauge("tdb_cover_elapsed_seconds", "Solve wall-clock seconds")
         ->Set(cs.elapsed_seconds);

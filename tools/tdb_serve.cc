@@ -4,17 +4,11 @@
 //             [--admit-threads 2] [--ingest-threads 1] [--algo TDB++]
 //             [--compact-threshold 4096] [--sync-compaction] [--gate]
 //             [--two-cycles] [--seed 42] [--compact-budget SEC]
-//             [--scc-algo tarjan|fwbw|uf] [--admission-cache [LOG2]]
 //             [--data-dir DIR] [--durability none|batch|always]
 //             [--compressed-base] [--kill-after N] [--state-dump FILE]
-//             [--shards N] [--boundary-cap N]
 //
 // Replays a timestamped edge stream (tdb_graphgen --stream) through a
-// GraphService backend — the unsharded CycleBreakService by default, or
-// with --shards N the in-process sharded router
-// (ShardedCycleBreakService), which partitions the universe across N
-// shard services and answers cross-shard admissions through per-publish
-// boundary summaries. Either way: the main thread ingests in batches while
+// CycleBreakService: the main thread ingests in batches while
 // --admit-threads reader threads fire CheckAdmission queries drawn from
 // the same vertex universe, concurrently and without coordination. With
 // --gate, each stream edge is admission-checked first and dropped when it
@@ -44,12 +38,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,12 +50,11 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cli_flags.h"
 #include "graph/graph_io.h"
 #include "service/cycle_break_service.h"
-#include "service/graph_service.h"
 #include "service/ingest_batcher.h"
 #include "service/service_metrics.h"
-#include "service/sharded_service.h"
 #include "service/stats.h"
 #include "util/crc32.h"
 #include "util/metrics.h"
@@ -87,7 +79,6 @@ struct CliArgs {
   std::string stream_path;
   std::string base_path;
   std::string algo = "TDB++";
-  std::string scc_algo = "tarjan";
   std::string data_dir;
   std::string durability = "batch";
   std::string state_dump;
@@ -96,13 +87,10 @@ struct CliArgs {
   int metrics_port = -1;  // -1 = off, 0 = kernel-assigned
   double metrics_interval = 5.0;
   double metrics_hold = 0.0;
-  int admission_cache_log2 = 0;
   int admission_index = 0;
   size_t admission_batch = 0;
   uint32_t k = 5;
   size_t batch = 256;
-  int shards = 0;  // 0 = unsharded CycleBreakService
-  int boundary_cap = 128;
   int admit_threads = 2;
   int ingest_threads = 1;
   EdgeId compact_threshold = 4096;
@@ -132,12 +120,6 @@ void PrintUsage() {
       "  --compact-threshold N delta size triggering compaction "
       "(default 4096, 0 = never)\n"
       "  --compact-budget SEC  work-budget-split deadline per compaction\n"
-      "  --scc-algo NAME       condensation strategy for compaction\n"
-      "                        solves: tarjan | fwbw (parallel) | uf\n"
-      "                        (concurrent union-find UFSCC)\n"
-      "  --admission-cache [L] memoize admission verdicts per epoch in a\n"
-      "                        2^L-entry cache (default L=16 when the\n"
-      "                        flag is given; off otherwise)\n"
       "  --admission-index N   build N-landmark distance sketches at each\n"
       "                        publish; admission checks short-circuit by\n"
       "                        distance arithmetic (0 = off)\n"
@@ -153,13 +135,6 @@ void PrintUsage() {
       "                        ingested batch of this process\n"
       "  --state-dump FILE     write the final graph + transversal in\n"
       "                        canonical text form (crash-drill oracle)\n"
-      "  --shards N            serve through the in-process sharded\n"
-      "                        router with N shard services (0 = the\n"
-      "                        unsharded backend; excludes the admission\n"
-      "                        cache/index flags)\n"
-      "  --boundary-cap N      largest cross-shard boundary for which the\n"
-      "                        router builds per-publish summaries\n"
-      "                        (default 128; 0 = always scatter/gather)\n"
       "  --sync-compaction     compact inline instead of in background\n"
       "  --compressed-base     keep the immutable base in the\n"
       "                        delta/varint CompressedCsr backend\n"
@@ -183,6 +158,13 @@ void PrintUsage() {
       "                        trace_event JSON to FILE at exit\n");
 }
 
+/// Thread flags are capped well below anything that could exhaust the
+/// process table; 0 means one per hardware thread where supported.
+constexpr int kMaxThreads = 256;
+constexpr uint64_t kU64Max = std::numeric_limits<uint64_t>::max();
+
+/// Parses argv into `args`. Every numeric value is checked in full and
+/// range-checked here, before any input is loaded or thread started.
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -190,6 +172,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (arg == "--stream" && (v = next()) != nullptr) {
       args->stream_path = v;
     } else if (arg == "--base" && (v = next()) != nullptr) {
@@ -197,54 +180,41 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--algo" && (v = next()) != nullptr) {
       args->algo = v;
     } else if (arg == "--k" && (v = next()) != nullptr) {
-      args->k = static_cast<uint32_t>(std::atoi(v));
+      ok = ParseFlagValue(arg, v, 2, 1u << 20, &args->k);
     } else if (arg == "--batch" && (v = next()) != nullptr) {
-      args->batch = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--shards" && (v = next()) != nullptr) {
-      args->shards = std::atoi(v);
-    } else if (arg == "--boundary-cap" && (v = next()) != nullptr) {
-      args->boundary_cap = std::atoi(v);
+      ok = ParseFlagValue(arg, v, 1, 1u << 24, &args->batch);
     } else if (arg == "--admit-threads" && (v = next()) != nullptr) {
-      args->admit_threads = std::atoi(v);
+      ok = ParseFlagValue(arg, v, 0, kMaxThreads, &args->admit_threads);
     } else if (arg == "--ingest-threads" && (v = next()) != nullptr) {
-      args->ingest_threads = std::atoi(v);
+      ok = ParseFlagValue(arg, v, 0, kMaxThreads, &args->ingest_threads);
     } else if (arg == "--compact-threshold" && (v = next()) != nullptr) {
-      args->compact_threshold = static_cast<EdgeId>(std::atoll(v));
+      ok = ParseFlagValue(arg, v, 0, kU64Max, &args->compact_threshold);
     } else if (arg == "--compact-budget" && (v = next()) != nullptr) {
-      args->compact_budget = std::atof(v);
+      ok = ParseFlagValue(arg, v, 0.0, 1e9, &args->compact_budget);
     } else if (arg == "--seed" && (v = next()) != nullptr) {
-      args->seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--scc-algo" && (v = next()) != nullptr) {
-      args->scc_algo = v;
+      ok = ParseFlagValue(arg, v, 0, kU64Max, &args->seed);
     } else if (arg == "--data-dir" && (v = next()) != nullptr) {
       args->data_dir = v;
     } else if (arg == "--durability" && (v = next()) != nullptr) {
       args->durability = v;
     } else if (arg == "--kill-after" && (v = next()) != nullptr) {
-      args->kill_after = static_cast<uint64_t>(std::atoll(v));
+      ok = ParseFlagValue(arg, v, 0, kU64Max, &args->kill_after);
     } else if (arg == "--state-dump" && (v = next()) != nullptr) {
       args->state_dump = v;
     } else if (arg == "--metrics-port" && (v = next()) != nullptr) {
-      args->metrics_port = std::atoi(v);
+      ok = ParseFlagValue(arg, v, 0, 65535, &args->metrics_port);
     } else if (arg == "--metrics-hold" && (v = next()) != nullptr) {
-      args->metrics_hold = std::atof(v);
+      ok = ParseFlagValue(arg, v, 0.0, 1e9, &args->metrics_hold);
     } else if (arg == "--metrics-dump" && (v = next()) != nullptr) {
       args->metrics_dump = v;
     } else if (arg == "--metrics-interval" && (v = next()) != nullptr) {
-      args->metrics_interval = std::atof(v);
+      ok = ParseFlagValue(arg, v, 0.0, 1e9, &args->metrics_interval);
     } else if (arg == "--trace-out" && (v = next()) != nullptr) {
       args->trace_out = v;
     } else if (arg == "--admission-index" && (v = next()) != nullptr) {
-      args->admission_index = std::atoi(v);
+      ok = ParseFlagValue(arg, v, 0, 4096, &args->admission_index);
     } else if (arg == "--admission-batch" && (v = next()) != nullptr) {
-      args->admission_batch = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--admission-cache") {
-      // Optional value: a following numeric token is the log2 capacity.
-      args->admission_cache_log2 = 16;
-      if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(
-                              argv[i + 1][0])) != 0) {
-        args->admission_cache_log2 = std::atoi(argv[++i]);
-      }
+      ok = ParseFlagValue(arg, v, 0, 1u << 20, &args->admission_batch);
     } else if (arg == "--sync-compaction") {
       args->sync_compaction = true;
     } else if (arg == "--compressed-base") {
@@ -259,6 +229,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       return false;
     }
+    if (!ok) return false;
   }
   return !args->stream_path.empty();
 }
@@ -266,12 +237,9 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
 /// Canonical text form of the final service state, for byte-equality
 /// comparison across runs (the crash drill's oracle). Everything that
 /// defines the served state is included: epoch, graph (base checksum +
-/// delta in insertion order), base cover and the S/W edge sets. Built
-/// from the backend's canonical TransversalImage, so it works — and
-/// means the same thing — for the unsharded service and the sharded
-/// router alike (byte-identical to the pre-GraphService dump for the
-/// unsharded backend).
-bool WriteStateDump(const GraphService& service, const std::string& path) {
+/// delta in insertion order), base cover and the S/W edge sets, taken
+/// from the service's canonical TransversalImage.
+bool WriteStateDump(const CycleBreakService& service, const std::string& path) {
   const TransversalImage image = service.Image();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -295,8 +263,8 @@ bool WriteStateDump(const GraphService& service, const std::string& path) {
   for (VertexId v : image.cover_vertices) {
     std::fprintf(f, "C %u\n", v);
   }
-  // Endpoint pairs only: edge ids are backend-scoped, and the dump's
-  // whole point is byte-comparability across backends.
+  // Endpoint pairs only: edge ids depend on the base/delta split, and
+  // the dump's whole point is byte-comparability across runs.
   auto dump_set = [&](const char* tag,
                       const std::vector<TransversalImage::EdgeEntry>& set) {
     std::fprintf(f, "%s_count %zu\n", tag, set.size());
@@ -394,16 +362,10 @@ int main(int argc, char** argv) {
   options.synchronous_compaction = args.sync_compaction;
   options.ingest_threads = args.ingest_threads;
   options.compact_time_limit_seconds = args.compact_budget;
-  options.admission_cache_log2 = args.admission_cache_log2;
   options.admission_index_landmarks = args.admission_index;
   options.compressed_base = args.compressed_base;
   options.data_dir = args.data_dir;
   st = ParseAlgorithm(args.algo, &options.compact_algorithm);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  st = ParseSccAlgorithm(args.scc_algo, &options.cover.scc_algorithm);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
@@ -420,17 +382,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--gate cannot be combined with --data-dir\n");
     return 2;
   }
-  ShardedServiceOptions sharded_options;
-  if (args.shards > 0) {
-    sharded_options.base = options;
-    sharded_options.base.data_dir.clear();  // the router owns the layout
-    sharded_options.num_shards = args.shards;
-    sharded_options.boundary_cap = args.boundary_cap;
-    sharded_options.data_dir = args.data_dir;
-    st = sharded_options.Validate();
-  } else {
-    st = options.Validate();
-  }
+  st = options.Validate();
   if (!st.ok()) {
     std::fprintf(stderr, "bad options: %s\n", st.ToString().c_str());
     return 2;
@@ -443,75 +395,33 @@ int main(int argc, char** argv) {
                stream.size());
 
   Timer setup_timer;
-  std::unique_ptr<CycleBreakService> unsharded;
-  std::unique_ptr<ShardedCycleBreakService> sharded;
+  std::unique_ptr<CycleBreakService> owned;
   size_t resume_offset = 0;
-  const auto report_recovery = [&](uint64_t snapshot_epoch,
-                                   uint64_t replayed_batches,
-                                   uint64_t replayed_events,
-                                   uint64_t truncated_bytes,
-                                   uint64_t events_ingested) -> bool {
-    resume_offset = static_cast<size_t>(events_ingested);
-    std::fprintf(stderr,
-                 "recovered %s: snapshot epoch %llu + %llu journal "
-                 "batches (%llu events, %llu torn bytes dropped), "
-                 "resuming stream at event %zu\n",
-                 args.data_dir.c_str(),
-                 static_cast<unsigned long long>(snapshot_epoch),
-                 static_cast<unsigned long long>(replayed_batches),
-                 static_cast<unsigned long long>(replayed_events),
-                 static_cast<unsigned long long>(truncated_bytes),
-                 resume_offset);
-    if (resume_offset > stream.size()) {
-      std::fprintf(stderr,
-                   "store is ahead of the stream (%zu > %zu events)\n",
-                   resume_offset, stream.size());
-      return false;
-    }
-    return true;
-  };
-  if (args.shards > 0) {
-    if (!args.data_dir.empty()) {
-      st = ShardedCycleBreakService::Open(sharded_options, &sharded);
-      if (st.ok()) {
-        const auto& rec = sharded->recovery_info();
-        if (!report_recovery(rec.snapshot_epoch, rec.replayed_batches,
-                             rec.replayed_events,
-                             rec.journal_truncated_bytes,
-                             sharded->events_ingested())) {
-          return 1;
-        }
-      } else if (st.IsNotFound()) {
-        st = ShardedCycleBreakService::Create(std::move(base),
-                                              sharded_options, &sharded);
-        if (!st.ok()) {
-          std::fprintf(stderr, "cannot create store: %s\n",
-                       st.ToString().c_str());
-          return 1;
-        }
-      } else {
-        std::fprintf(stderr, "cannot recover store: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
-    } else {
-      sharded = std::make_unique<ShardedCycleBreakService>(
-          std::move(base), sharded_options);
-    }
-  } else if (!args.data_dir.empty()) {
+  if (!args.data_dir.empty()) {
     // An existing store is recovered; a fresh directory is initialized.
-    st = CycleBreakService::Open(options, &unsharded);
+    st = CycleBreakService::Open(options, &owned);
     if (st.ok()) {
-      const auto& rec = unsharded->recovery_info();
-      if (!report_recovery(rec.snapshot_epoch, rec.replayed_batches,
-                           rec.replayed_events,
-                           rec.journal_truncated_bytes,
-                           unsharded->events_ingested())) {
+      const CycleBreakService::RecoveryInfo& rec = owned->recovery_info();
+      resume_offset = static_cast<size_t>(owned->events_ingested());
+      std::fprintf(stderr,
+                   "recovered %s: snapshot epoch %llu + %llu journal "
+                   "batches (%llu events, %llu torn bytes dropped), "
+                   "resuming stream at event %zu\n",
+                   args.data_dir.c_str(),
+                   static_cast<unsigned long long>(rec.snapshot_epoch),
+                   static_cast<unsigned long long>(rec.replayed_batches),
+                   static_cast<unsigned long long>(rec.replayed_events),
+                   static_cast<unsigned long long>(
+                       rec.journal_truncated_bytes),
+                   resume_offset);
+      if (resume_offset > stream.size()) {
+        std::fprintf(stderr,
+                     "store is ahead of the stream (%zu > %zu events)\n",
+                     resume_offset, stream.size());
         return 1;
       }
     } else if (st.IsNotFound()) {
-      st = CycleBreakService::Create(std::move(base), options,
-                                     &unsharded);
+      st = CycleBreakService::Create(std::move(base), options, &owned);
       if (!st.ok()) {
         std::fprintf(stderr, "cannot create store: %s\n",
                      st.ToString().c_str());
@@ -523,12 +433,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    unsharded = std::make_unique<CycleBreakService>(std::move(base),
-                                                    options);
+    owned = std::make_unique<CycleBreakService>(std::move(base), options);
   }
-  GraphService& service =
-      sharded != nullptr ? static_cast<GraphService&>(*sharded)
-                         : static_cast<GraphService&>(*unsharded);
+  CycleBreakService& service = *owned;
   if (service.universe() != universe) {
     std::fprintf(stderr,
                  "store universe (%u) does not match the stream's "
@@ -567,12 +474,6 @@ int main(int argc, char** argv) {
       "Delta edges in the published snapshot's overlay", [&service] {
         return static_cast<double>(service.delta_edges());
       }));
-  if (sharded != nullptr) {
-    std::vector<MetricRegistry::Registration> shard_regs =
-        BindShardRouterStats(&registry, sharded->raw_router_stats(),
-                             "tdb_shard_");
-    for (auto& reg : shard_regs) metric_regs.push_back(std::move(reg));
-  }
 
   MetricsHttpServer metrics_server(&registry, args.metrics_port);
   if (args.metrics_port >= 0) {
@@ -713,17 +614,6 @@ int main(int argc, char** argv) {
               "uncovered cycle\n",
               static_cast<unsigned long long>(s.admission_queries), qps,
               static_cast<unsigned long long>(s.admission_would_close));
-  if (args.admission_cache_log2 > 0) {
-    const uint64_t looked = s.admission_cache_hits + s.admission_cache_misses;
-    const double hit_rate =
-        looked > 0 ? 100.0 * static_cast<double>(s.admission_cache_hits) /
-                         static_cast<double>(looked)
-                   : 0.0;
-    std::printf("cache:      %llu hits / %llu misses (%.1f%% hit rate)\n",
-                static_cast<unsigned long long>(s.admission_cache_hits),
-                static_cast<unsigned long long>(s.admission_cache_misses),
-                hit_rate);
-  }
   if (args.admission_index > 0) {
     const uint64_t decided = s.index_hits + s.index_fallbacks;
     const double hit_rate =
@@ -753,27 +643,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.cycles_covered),
               image.covered.size(), image.cover_vertices.size(),
               image.delta.size());
-  if (sharded != nullptr) {
-    const ShardRouterStatsSnapshot r = sharded->RouterStats();
-    const double summary_rate =
-        r.cross_queries > 0
-            ? 100.0 * static_cast<double>(r.summary_resolved) /
-                  static_cast<double>(r.cross_queries)
-            : 0.0;
-    std::printf(
-        "router:     %d shards, %llu/%llu edges cross-shard, boundary "
-        "%llu, %llu summaries (%.3fs), cross queries %llu (%.1f%% "
-        "summary-resolved, %llu scatter/gather, %llu DFS fallbacks)\n",
-        sharded->num_shards(),
-        static_cast<unsigned long long>(r.cross_shard_edges),
-        static_cast<unsigned long long>(r.edges_routed),
-        static_cast<unsigned long long>(r.boundary_vertices),
-        static_cast<unsigned long long>(r.summary_builds),
-        r.summary_build_seconds,
-        static_cast<unsigned long long>(r.cross_queries), summary_rate,
-        static_cast<unsigned long long>(r.scatter_gather_probes),
-        static_cast<unsigned long long>(r.dfs_fallbacks));
-  }
   if (!args.data_dir.empty()) {
     std::printf("store:      %llu journal records, %llu rotations, "
                 "%llu snapshots, %llu persist failures (durability %s)\n",
